@@ -57,7 +57,7 @@ bench-adaptive:
 # chunk scenarios with membench's unconditional zero-alloc check (no
 # baseline needed) — fast enough to run on every hot-path change.
 bench-bits:
-	$(GO) run ./cmd/membench -rev bits -o BENCH_bits.json -only '^(bits-kernel|core-nobug-bits|compiled-kernel|rng-bulkfill|mc-batch|mc-mean-batch|mc-instrumented|obs-metrics)/'
+	$(GO) run ./cmd/membench -rev bits -o BENCH_bits.json -only '^(compiled-kernel|compiled-products|rng-bulkfill|mc-batch|mc-mean-batch|mc-instrumented|obs-metrics)/'
 
 # bench-compare is the perf-regression gate: run the canonical
 # cmd/membench suite, emit BENCH_new.json, and compare it against the
@@ -76,9 +76,10 @@ smoke-cluster:
 	./scripts/smoke_cluster.sh
 
 # smoke-differential is the bounded-time seeded differential gate:
-# randomized queries cross-checked across the compiled engine, the
-# table-driven reference kernel, and the []bool closure adapter — any
-# divergence fails with a deterministic repro (see cmd/memdiff).
+# randomized queries cross-checked between the compiled engine and the
+# paper's reference process (the []bool NoBugBatch route), and across
+# the exact routes — any divergence fails with a deterministic repro
+# (see cmd/memdiff).
 smoke-differential:
 	$(GO) run ./cmd/memdiff -duration 10s -seed 1
 

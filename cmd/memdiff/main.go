@@ -6,8 +6,10 @@
 //
 // Per scenario, every applicable check runs:
 //
-//   - mc vs mc-compiled vs the []bool closure adapter, bit-identical
-//     (fixed-trials and adaptive-precision paths);
+//   - the compiled engine (the mc and mc-compiled kinds) against the
+//     paper's reference process, the []bool NoBugBatch route through
+//     the same harness, bit-identical (fixed-trials and
+//     adaptive-precision paths);
 //   - the independent exact enumerations against each other and, for
 //     n=2, against the settling-DP interval;
 //   - exact Pr[A] inside the Monte Carlo route's extreme-confidence

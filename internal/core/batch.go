@@ -10,13 +10,11 @@ import (
 )
 
 // This file holds the []bool reference implementation of the batched
-// joined-model trial and the kernel-backed product batch. NoBugBatch
-// routes RNG consumption through the same sampleSegmentsInto routine
-// the closures use, so it is bit-identical to the closure route by
-// construction; the bit-parallel hot path (NoBugBits, kernel.go) is in
-// turn property-tested against NoBugBatch. Estimation entry points run
-// on the kernel; NoBugBatch stays as the oracle those tests compare
-// against.
+// joined-model trial. NoBugBatch routes RNG consumption through the same
+// sampleSegmentsInto routine the closures use, so it is bit-identical to
+// the closure route by construction; the compiled engine (NoBugBits,
+// compile.go) is in turn property-tested against it. Estimation entry
+// points run on the compiled engine; NoBugBatch stays as the oracle.
 
 // productOf computes Π_{i=1}^{n-1} 2^-i·Γᵢ — the Theorem 6.1 expectation
 // integrand — from one draw of segment lengths, in log space.
@@ -30,9 +28,9 @@ func productOf(segments []int) float64 {
 
 // NoBugBatch returns the []bool-batched form of the full joined-process
 // trial: out[i] reports whether the bug did NOT manifest (the event A)
-// on the i-th trial. It is the reference implementation the bit-parallel
+// on the i-th trial. It is the reference implementation the compiled
 // NoBugBits is property-tested against — kept deliberately on the
-// shared sampleSegmentsInto routine, not the kernel. The returned batch
+// shared sampleSegmentsInto routine, not the fast engine. The returned batch
 // is safe for the harness's concurrent per-chunk calls — all captured
 // state is immutable, and the reused segments buffer is local to each
 // call.
@@ -58,24 +56,5 @@ func (c Config) NoBugBatch() (mc.BatchTrial, error) {
 			out[i] = disjoint
 		}
 		return nil
-	}, nil
-}
-
-// ProductBatch returns the batched form of the Theorem 6.1 product
-// trial: out[i] is one sample of Π_{i=1}^{n-1} 2^-i·Γᵢ from a fresh
-// joined-process draw. It runs on the table-driven kernel (one private
-// kernel per call, as NoBugBits), bit-identical to the ProductTrial
-// closure route.
-func (c Config) ProductBatch() (mc.BatchMean, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := c
-	return func(src *rng.Source, out []float64) error {
-		k, err := cfg.NewKernel()
-		if err != nil {
-			return err
-		}
-		return k.FillProducts(src, out)
 	}, nil
 }

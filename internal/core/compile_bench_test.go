@@ -1,54 +1,58 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"memreliability/internal/mc"
-	"memreliability/internal/memmodel"
 	"memreliability/internal/rng"
 )
 
 // BenchmarkCompiledFillBits measures the compiled engine's steady-state
-// chunk loop on the canonical fixed-mc shape (TSO, n=2, m=24).
+// 8192-trial chunk on every canonical model at the grid's smallest and
+// largest thread counts (m = 24), for both trial kinds: FillBits (what
+// mc runs) and FillProducts (what hybrid runs). A shape-specific
+// slowdown — one model's settling walks, one thread count's refill
+// pattern — shows up as its own row.
 func BenchmarkCompiledFillBits(b *testing.B) {
-	cfg := DefaultConfig(memmodel.TSO(), 2)
-	cfg.PrefixLen = 24
-	ir, err := cfg.BuildIR()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := ir.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
 	const trials = 8192
-	words := make([]uint64, mc.BitWords(trials))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := prog.FillBits(src, words, trials); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelFillBits is the reference engine on the same shape.
-func BenchmarkKernelFillBits(b *testing.B) {
-	cfg := DefaultConfig(memmodel.TSO(), 2)
-	cfg.PrefixLen = 24
-	k, err := cfg.NewKernel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	const trials = 8192
-	words := make([]uint64, mc.BitWords(trials))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := k.FillBits(src, words, trials); err != nil {
-			b.Fatal(err)
+	for _, model := range kernelModels() {
+		for _, n := range []int{2, 16} {
+			cfg := DefaultConfig(model, n)
+			cfg.PrefixLen = 24
+			ir, err := cfg.BuildIR()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := ir.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/n=%d", model.Name(), n)
+			b.Run("bits/"+name, func(b *testing.B) {
+				src := rng.New(1)
+				words := make([]uint64, mc.BitWords(trials))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := prog.FillBits(src, words, trials); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/trials, "ns/trial")
+			})
+			b.Run("products/"+name, func(b *testing.B) {
+				src := rng.New(1)
+				out := make([]float64, trials)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := prog.FillProducts(src, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/trials, "ns/trial")
+			})
 		}
 	}
 }

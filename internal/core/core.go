@@ -14,6 +14,13 @@
 //   - HybridPrA: Theorem 6.1 with the joint product expectation
 //     E[Π_{i=1}^{n-1} 2^-i·Γᵢ] estimated by Monte Carlo — this reaches
 //     the e^{-Θ(n²)} regime of Theorem 6.3 that direct simulation cannot.
+//
+// Every Monte Carlo route runs on one engine: the config is lowered to a
+// KernelIR (BuildIR) and compiled into a branch-free Program (Compile),
+// cached per query in the plan cache. The paper's processes themselves —
+// ManifestTrial, ProductTrial and their []bool batch NoBugBatch, built
+// on prog, settle and shift — are the reference the engine is tested
+// against, draw for draw.
 package core
 
 import (
@@ -151,8 +158,8 @@ func (c Config) ManifestTrial(src *rng.Source) (bool, error) {
 
 // EstimateNoBugProb estimates Pr[A] — the probability the bug does NOT
 // manifest — by full Monte Carlo over the joined process, on the
-// harness's bit-parallel hot path via the table-driven kernel
-// (bit-identical to the per-trial and []bool routes).
+// harness's bit-parallel hot path via the compiled engine (bit-identical
+// to the per-trial and []bool routes).
 func EstimateNoBugProb(ctx context.Context, cfg Config, mcCfg mc.Config) (*mc.Result, error) {
 	batch, err := cfg.NoBugBits()
 	if err != nil {
@@ -198,8 +205,8 @@ func (c Config) ProductTrial(src *rng.Source) (float64, error) {
 }
 
 // EstimateProductExpectation estimates E[Π_{i=1}^{n-1} 2^-i·Γᵢ] by Monte
-// Carlo, on the harness's batched hot path (bit-identical to the
-// per-trial route).
+// Carlo, on the harness's batched hot path via the compiled engine
+// (bit-identical to the per-trial route).
 func EstimateProductExpectation(ctx context.Context, cfg Config, mcCfg mc.Config) (*stats.Summary, error) {
 	batch, err := cfg.ProductBatch()
 	if err != nil {

@@ -2,19 +2,58 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"memreliability/internal/dist"
 	"memreliability/internal/memmodel"
 )
 
-// KernelIR is the intermediate representation both trial engines build
-// from: the full decision surface of one (model, n, m, p, s) query,
-// lowered to integer draw thresholds (see drawThreshold). Extracting it
-// as an explicit compile step is what makes a two-engine architecture
-// possible — the table-driven Kernel *interprets* the IR, while the
-// compiler engine (compile.go) lowers it further into monomorphized
-// closures — and guarantees both engines answer every swap/store/shift
-// question from the same precomputed numbers.
+// Instruction kind codes. The program model's location structure (prog
+// package doc) makes footnote 2's same-location blocking a property of
+// the kind alone: prefix LD/ST carry pairwise-distinct locations (never
+// same-location blocked against anything), and the critical pair shares
+// the critical location (blocked against each other, never against the
+// prefix). Four codes therefore capture everything settling ever asks
+// about an instruction.
+const (
+	kindLoad      = 0 // prefix LD
+	kindStore     = 1 // prefix ST
+	kindCritLoad  = 2 // critical LD (round m+1)
+	kindCritStore = 3 // critical ST (round m+2)
+)
+
+// kindType maps kind codes to their memory-operation types.
+var kindType = [4]memmodel.OpType{memmodel.Load, memmodel.Store, memmodel.Load, memmodel.Store}
+
+// Draw thresholds: rng.Source.Bool(p) with p ∈ (0,1) succeeds iff
+// Float64() < p, i.e. iff float64(Uint64()>>11)·2⁻⁵³ < p. Both sides
+// are exact dyadic rationals, so for the integer variate v = Uint64()>>11
+// the test is exactly v < ⌈p·2⁵³⌉. The edge probabilities draw nothing:
+// p ≤ 0 always fails (neverThr, which no v is below) and p ≥ 1 always
+// succeeds (alwaysThr, a sentinel that cannot collide with a real
+// threshold, which is at most 2⁵³). One threshold therefore encodes
+// Bool(p)'s full semantics.
+const (
+	neverThr  uint64 = 0
+	alwaysThr uint64 = ^uint64(0)
+)
+
+// drawThreshold converts a probability to its draw threshold.
+func drawThreshold(p float64) uint64 {
+	switch {
+	case p <= 0:
+		return neverThr
+	case p >= 1:
+		return alwaysThr
+	default:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+}
+
+// KernelIR is the intermediate representation the compiled engine is
+// built from: the full decision surface of one (model, n, m, p, s)
+// query, lowered to integer draw thresholds (see drawThreshold).
+// Compile (compile.go) lowers it further into a Program.
 //
 // A KernelIR is immutable after BuildIR and safe to share.
 type KernelIR struct {
@@ -70,9 +109,8 @@ func (c Config) BuildIR() (*KernelIR, error) {
 // draw threshold, and if so returns the permission masks and that
 // threshold. mask[p] has bit m set iff kind m may settle past kind p.
 // Config.BuildIR always produces a uniform surface (memmodel.Uniform),
-// so for IRs built from a Config this always succeeds; a hand-built IR
-// with per-pair thresholds is the documented fallback-to-interpreter
-// case.
+// so for IRs built from a Config this always succeeds; Compile rejects a
+// hand-built IR with per-pair thresholds.
 func (ir *KernelIR) uniformSwap() (mask [4]uint8, thr uint64, ok bool) {
 	thr = neverThr
 	for p := 0; p < 4; p++ {
@@ -90,18 +128,4 @@ func (ir *KernelIR) uniformSwap() (mask [4]uint8, thr uint64, ok bool) {
 		}
 	}
 	return mask, thr, true
-}
-
-// NewKernel builds the table-driven (interpreter) engine for the IR.
-func (ir *KernelIR) NewKernel() *Kernel {
-	return &Kernel{
-		threads:  ir.Threads,
-		storeThr: ir.StoreThr,
-		shiftThr: ir.ShiftThr,
-		swapThr:  ir.SwapThr,
-		typ:      make([]uint8, ir.PrefixLen),
-		order:    make([]uint8, ir.PrefixLen),
-		segments: make([]int, ir.Threads),
-		shifts:   make([]int, ir.Threads),
-	}
 }

@@ -9,18 +9,18 @@ import (
 )
 
 // kernelModels covers every canonical model — the full spread of
-// relaxation matrices the swap table must tabulate, from all-forbidden
-// (SC) to all-permitted (WO).
+// relaxation matrices the engine's permission masks must encode, from
+// all-forbidden (SC) to all-permitted (WO).
 func kernelModels() []memmodel.Model {
 	return []memmodel.Model{memmodel.SC(), memmodel.TSO(), memmodel.PSO(), memmodel.WO()}
 }
 
 // TestKernelBitsMatchReference sweeps models × thread counts × prefix
-// lengths and checks NoBugBits against the []bool reference NoBugBatch
-// and the per-trial closure on shared substreams: the three routes must
-// produce identical booleans trial for trial, including on batch sizes
-// that end mid-word. Edge probabilities (p, s ∈ {0, 1}) exercise the
-// draw-free threshold sentinels.
+// lengths and checks the plan-cached NoBugBits batch against the []bool
+// reference NoBugBatch and the per-trial closure on shared substreams:
+// the three routes must produce identical booleans trial for trial,
+// including on batch sizes that end mid-word. Edge probabilities
+// (p, s ∈ {0, 1}) exercise the draw-free constant bitmaps.
 func TestKernelBitsMatchReference(t *testing.T) {
 	type probs struct{ store, swap float64 }
 	cases := []probs{{0.5, 0.5}, {0.3, 0.7}, {0, 0.5}, {1, 0.5}, {0.5, 0}, {0.5, 1}}
@@ -81,7 +81,7 @@ func TestKernelBitsMatchReference(t *testing.T) {
 	}
 }
 
-// TestKernelProductsMatchClosure checks the kernel-backed ProductBatch
+// TestKernelProductsMatchClosure checks the plan-cached ProductBatch
 // against the ProductTrial closure across every model: identical float64
 // bits on identical substreams.
 func TestKernelProductsMatchClosure(t *testing.T) {
@@ -109,73 +109,90 @@ func TestKernelProductsMatchClosure(t *testing.T) {
 	}
 }
 
-// TestKernelTrialMatchesManifest pins NoBugTrial itself (the exported
-// single-trial kernel entry point) to the negated ManifestTrial.
+// TestKernelTrialMatchesManifest pins the engine one trial at a time to
+// the negated ManifestTrial: single-trial FillBits calls, each a full
+// attach and resync of the draw cursor.
 func TestKernelTrialMatchesManifest(t *testing.T) {
 	cfg := DefaultConfig(memmodel.PSO(), 3)
 	cfg.PrefixLen = 10
-	k, err := cfg.NewKernel()
+	bits, err := cfg.NoBugBits()
 	if err != nil {
 		t.Fatal(err)
 	}
 	kernelSrc, closureSrc := rng.New(23), rng.New(23)
+	word := make([]uint64, 1)
 	for i := 0; i < 300; i++ {
-		got := k.NoBugTrial(kernelSrc)
+		if err := bits(kernelSrc, word, 1); err != nil {
+			t.Fatal(err)
+		}
 		manifested, err := cfg.ManifestTrial(closureSrc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != !manifested {
+		if got := word[0] == 1; got != !manifested {
 			t.Fatalf("trial %d: kernel no-bug=%v closure manifested=%v", i, got, manifested)
+		}
+		if kernelSrc.State() != closureSrc.State() {
+			t.Fatalf("trial %d: kernel and closure consumed different draws", i)
 		}
 	}
 }
 
-// TestKernelZeroAllocs asserts the prebuilt kernel's fill entry points
-// allocate nothing per call — the guarantee the perf suite's strict
-// zero-alloc gate rides on.
+// TestKernelZeroAllocs asserts the plan-cached batch constructors'
+// batches allocate nothing per call once warm — the guarantee the perf
+// suite's strict zero-alloc gate rides on, on the route mc and hybrid
+// take.
 func TestKernelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	cfg := DefaultConfig(memmodel.TSO(), 2)
 	cfg.PrefixLen = 24
-	k, err := cfg.NewKernel()
+	bits, err := cfg.NoBugBits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	products, err := cfg.ProductBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := rng.New(31)
 	const trials = 700 // ends mid-word
 	words := make([]uint64, mc.BitWords(trials))
-	if avg := testing.AllocsPerRun(10, func() {
-		if err := k.FillBits(src, words, trials); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("FillBits allocates %.1f per call, want 0", avg)
+	out := make([]float64, 128)
+	if err := bits(src, words, trials); err != nil { // warm the pool
+		t.Fatal(err)
 	}
-	products := make([]float64, 128)
 	if avg := testing.AllocsPerRun(10, func() {
-		if err := k.FillProducts(src, products); err != nil {
+		if err := bits(src, words, trials); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("FillProducts allocates %.1f per call, want 0", avg)
+		t.Errorf("NoBugBits batch allocates %.1f per call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := products(src, out); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("ProductBatch batch allocates %.1f per call, want 0", avg)
 	}
 }
 
 // TestKernelValidates checks that invalid configs fail at construction,
-// for both the kernel itself and the NoBugBits constructor.
+// for the IR lowering and both batch constructors.
 func TestKernelValidates(t *testing.T) {
 	bad := Config{Model: memmodel.TSO(), Threads: 1, PrefixLen: 16}
-	if _, err := bad.NewKernel(); err == nil {
-		t.Error("NewKernel accepted threads=1")
-	}
-	if _, err := bad.NoBugBits(); err == nil {
-		t.Error("NoBugBits accepted threads=1")
-	}
 	var zero Config
-	if _, err := zero.NewKernel(); err == nil {
-		t.Error("NewKernel accepted the zero config")
+	for name, cfg := range map[string]Config{"threads=1": bad, "zero config": zero} {
+		if _, err := cfg.BuildIR(); err == nil {
+			t.Errorf("BuildIR accepted the %s", name)
+		}
+		if _, err := cfg.NoBugBits(); err == nil {
+			t.Errorf("NoBugBits accepted the %s", name)
+		}
+		if _, err := cfg.ProductBatch(); err == nil {
+			t.Errorf("ProductBatch accepted the %s", name)
+		}
 	}
 }

@@ -4,19 +4,6 @@ import (
 	"memreliability/internal/obs"
 )
 
-// Kernel-construction metrics. NewKernel runs once per worker batch
-// call on the bitset route, so these sit just off the chunk hot path:
-// both updates are lock-free atomics with zero allocation, and the
-// histogram observation derives from the wall clock only — never from
-// experiment RNG.
-var (
-	coreKernelsBuilt = obs.Default().Counter("core_kernels_built_total",
-		"Table-driven joined-process kernels constructed.")
-	coreKernelBuildSeconds = obs.Default().Histogram("core_kernel_build_seconds",
-		"Wall-clock time to validate a config and build its kernel.",
-		obs.LogBuckets(1e-7, 4, 12))
-)
-
 // Compiler-engine metrics. Compiles happen once per distinct query (the
 // plan cache's once), hits on every repeat lookup, evictions only when
 // the LRU exceeds its cap — all lock-free atomic counters.

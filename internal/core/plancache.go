@@ -146,5 +146,6 @@ func (pc *PlanCache) SetCap(capacity int) {
 var defaultPlanCache = NewPlanCache(DefaultPlanCacheCap)
 
 // DefaultPlanCache returns the process-wide plan cache used by the
-// compiled estimation entry points (CompiledNoBugBits and friends).
+// batch constructors (NoBugBits, ProductBatch) and so by every Monte
+// Carlo estimation route.
 func DefaultPlanCache() *PlanCache { return defaultPlanCache }

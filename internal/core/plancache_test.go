@@ -179,21 +179,24 @@ func TestPlanCacheBadConfig(t *testing.T) {
 	}
 }
 
-// TestCompiledNoBugBitsSharesPlans checks the package-level compiled
-// entry point routes through the default plan cache: two constructions
-// of the same query reuse one Program (observable via the cache length
-// not growing).
+// TestCompiledNoBugBitsSharesPlans checks the package-level batch
+// constructors route through the default plan cache: repeated
+// constructions of the same query, bits or products, reuse one Program
+// (observable via the cache length not growing).
 func TestCompiledNoBugBitsSharesPlans(t *testing.T) {
 	cfg := DefaultConfig(memmodel.SC(), 4)
 	cfg.PrefixLen = 9
-	if _, err := cfg.CompiledNoBugBits(); err != nil {
+	if _, err := cfg.NoBugBits(); err != nil {
 		t.Fatal(err)
 	}
 	before := DefaultPlanCache().Len()
-	if _, err := cfg.CompiledNoBugBits(); err != nil {
+	if _, err := cfg.NoBugBits(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.ProductBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if DefaultPlanCache().Len() != before {
-		t.Fatal("repeated CompiledNoBugBits grew the default plan cache")
+		t.Fatal("repeated batch construction grew the default plan cache")
 	}
 }

@@ -6,9 +6,11 @@
 //
 // The routes and their agreement contracts:
 //
-//   - mc vs mc-compiled vs the []bool closure adapter: estimator seed
-//     derivation is kind-independent, so these must be BIT-identical —
-//     no tolerance at all.
+//   - the compiled engine (mc and mc-compiled, one engine under two
+//     names) vs the paper's reference process, the []bool NoBugBatch
+//     route through the same harness: estimator seed derivation is
+//     kind-independent, so these must be BIT-identical — no tolerance
+//     at all, fixed-trials and adaptive alike.
 //   - ExactSmallPrA vs ExactSmallPrAViaTheorem61: two independent exact
 //     enumerations (joint DP vs Theorem 6.1 factorization) that must
 //     agree to float rounding.
@@ -31,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 
 	"memreliability/internal/analytic"
 	"memreliability/internal/core"
@@ -125,32 +126,19 @@ func Check(ctx context.Context, q estimator.Query) error {
 	return nil
 }
 
-// CheckEngines requires the table-driven mc kernel, the query-compiled
-// kernel, and (on fixed-trials queries) the []bool closure adapter to
-// produce bit-identical results on the query. Estimator seed derivation
-// is kind-independent, so there is no tolerance: any difference is a
-// bug.
+// CheckEngines requires the compiled engine — the query's own mc or
+// mc-compiled kind through the estimator registry — to be bit-identical
+// to the paper's reference process on the same derived substream: the
+// []bool NoBugBatch route (prog.Generate → settle.Settle →
+// shift.DisjointTrial) through the same harness, fixed-trials or
+// adaptive. Estimator seed derivation is kind-independent, so there is
+// no tolerance: any difference is a bug.
 func CheckEngines(ctx context.Context, q estimator.Query) error {
-	q.Kind = estimator.FullMC
-	ref, err := estimator.Estimate(ctx, q)
+	q = q.Normalized()
+	got, err := estimator.Estimate(ctx, q)
 	if err != nil {
-		return fmt.Errorf("mc: %w", err)
+		return fmt.Errorf("%s: %w", q.Kind, err)
 	}
-	q.Kind = estimator.CompiledMC
-	compiled, err := estimator.Estimate(ctx, q)
-	if err != nil {
-		return fmt.Errorf("mc-compiled: %w", err)
-	}
-	ref.Kind = estimator.CompiledMC // the only field allowed to differ
-	if !reflect.DeepEqual(ref, compiled) {
-		return fmt.Errorf("mc-compiled diverged from mc:\n  mc:          %+v\n  mc-compiled: %+v", ref, compiled)
-	}
-	if q.Precision != nil {
-		return nil // the closure adapter has no adaptive entry point
-	}
-
-	// Closure adapter: the deliberately simple []bool oracle on the same
-	// derived substream.
 	model, err := memmodel.ByName(q.Model)
 	if err != nil {
 		return err
@@ -161,13 +149,30 @@ func CheckEngines(ctx context.Context, q estimator.Query) error {
 	if err != nil {
 		return err
 	}
-	sub := estimator.DeriveSeeds(q.Normalized().Seed, 1)[0]
-	out, err := mc.EstimateProbabilityBatch(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
-	if err != nil {
-		return fmt.Errorf("closure adapter: %w", err)
+	sub := estimator.DeriveSeeds(q.Seed, 1)[0]
+	var ref *mc.Result
+	trials, rounds, stop := q.Trials, 0, ""
+	if p := q.Precision; p != nil {
+		level := q.Confidence
+		if level == 0 {
+			level = estimator.DefaultConfidence
+		}
+		out, err := mc.EstimateAdaptiveBatch(ctx, mc.AdaptiveConfig{MaxTrials: p.MaxTrials, Seed: sub,
+			TargetHalfWidth: p.TargetHalfWidth, TargetRelErr: p.TargetRelErr, Confidence: level}, batch)
+		if err != nil {
+			return fmt.Errorf("reference: %w", err)
+		}
+		ref, trials, rounds, stop = &out.Result, out.TrialsUsed(), out.Rounds, string(out.StopReason)
+	} else {
+		ref, err = mc.EstimateProbabilityBatch(ctx, mc.Config{Trials: q.Trials, Seed: sub}, batch)
+		if err != nil {
+			return fmt.Errorf("reference: %w", err)
+		}
 	}
-	if out.Estimate() != ref.Estimate {
-		return fmt.Errorf("closure adapter diverged: adapter %v, engines %v", out.Estimate(), ref.Estimate)
+	if got.Estimate != ref.Estimate() || got.TrialsUsed != trials || got.Rounds != rounds || got.StopReason != stop {
+		return fmt.Errorf("%s diverged from the reference route: engine %v over %d trials (%d rounds, %q), "+
+			"reference %v over %d trials (%d rounds, %q)", q.Kind, got.Estimate, got.TrialsUsed, got.Rounds,
+			got.StopReason, ref.Estimate(), trials, rounds, stop)
 	}
 	return nil
 }

@@ -54,10 +54,10 @@ const (
 	// WindowDist tabulates the exact critical-window distribution
 	// Pr[B_γ] (Theorem 4.1 at finite m); it is thread-count independent.
 	WindowDist Kind = "windowdist"
-	// CompiledMC is full Monte Carlo on the query-compiled kernel
-	// engine (core's plan cache of monomorphized trial kernels) —
-	// bit-identical to FullMC by the cross-engine promotion gate,
-	// faster per trial.
+	// CompiledMC is full Monte Carlo under its earlier engine-specific
+	// name: it runs the same compiled engine as FullMC, so the two are
+	// bit-identical, and it stays accepted and echoed so stored results
+	// and artifacts that name it still match.
 	CompiledMC Kind = "mc-compiled"
 )
 

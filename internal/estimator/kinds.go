@@ -14,10 +14,10 @@ import (
 // name a Kind can dispatch it.
 func init() {
 	Register(exactEstimator{})
-	Register(fullMCEstimator{})
+	Register(mcEstimator{kind: FullMC, name: "full Monte Carlo"})
 	Register(hybridEstimator{})
 	Register(windowDistEstimator{})
-	Register(compiledMCEstimator{})
+	Register(mcEstimator{kind: CompiledMC, name: "full Monte Carlo (compiled kernel)"})
 }
 
 // coreConfig translates the query into the joined-model configuration.
@@ -95,19 +95,24 @@ func (exactEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exe
 	return res, nil
 }
 
-// fullMCEstimator is full end-to-end Monte Carlo of the joined process.
-// It runs on the mc harness's bit-parallel hot path (core.Config.NoBugBits,
-// the table-driven kernel): 64 trials per word, whole chunks per call,
-// zero steady-state allocations, bit-identical to the historical
-// per-trial and []bool routes.
-type fullMCEstimator struct{}
+// mcEstimator is full end-to-end Monte Carlo of the joined process, on
+// the mc harness's bit-parallel hot path over core's compiled engine
+// (core.Config.NoBugBits, plan-cached per query): 64 trials per word,
+// whole chunks per call, zero steady-state allocations, bit-identical to
+// the per-trial and []bool reference routes. It serves two kinds, mc
+// and mc-compiled, which name the same engine; both stay accepted and
+// echoed so stored results and artifacts keep their kind.
+type mcEstimator struct {
+	kind Kind
+	name string
+}
 
-func (fullMCEstimator) Kind() Kind          { return FullMC }
-func (fullMCEstimator) DisplayName() string { return "full Monte Carlo" }
-func (fullMCEstimator) NeedsTrials() bool   { return true }
+func (e mcEstimator) Kind() Kind          { return e.kind }
+func (e mcEstimator) DisplayName() string { return e.name }
+func (mcEstimator) NeedsTrials() bool     { return true }
 
-func (fullMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec) (Result, error) {
-	res := Result{Kind: FullMC, EffectiveM: q.PrefixLen}
+func (e mcEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec) (Result, error) {
+	res := Result{Kind: e.kind, EffectiveM: q.PrefixLen}
 	cfg, err := coreConfig(q)
 	if err != nil {
 		return res, err
@@ -141,56 +146,9 @@ func (fullMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Ex
 	return res, nil
 }
 
-// compiledMCEstimator is full Monte Carlo on the compiler engine: the
-// query is lowered through core's plan cache into a monomorphized,
-// bulk-RNG trial kernel. Seed derivation is kind-independent, so an
-// mc-compiled query is bit-identical to the same query under mc — the
-// cross-engine property tests and the differential smoke job gate on
-// exactly that.
-type compiledMCEstimator struct{}
-
-func (compiledMCEstimator) Kind() Kind          { return CompiledMC }
-func (compiledMCEstimator) DisplayName() string { return "full Monte Carlo (compiled kernel)" }
-func (compiledMCEstimator) NeedsTrials() bool   { return true }
-
-func (compiledMCEstimator) Estimate(ctx context.Context, q Query, seed uint64, ex Exec) (Result, error) {
-	res := Result{Kind: CompiledMC, EffectiveM: q.PrefixLen}
-	cfg, err := coreConfig(q)
-	if err != nil {
-		return res, err
-	}
-	var out *mc.Result
-	if q.Precision != nil {
-		adaptive, err := core.EstimateNoBugProbCompiledAdaptive(ctx, cfg, adaptiveConfig(q, seed, ex))
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		out = &adaptive.Result
-		res.TrialsUsed = adaptive.TrialsUsed()
-		res.Rounds = adaptive.Rounds
-		res.StopReason = string(adaptive.StopReason)
-	} else {
-		out, err = core.EstimateNoBugProbCompiled(ctx, cfg, mcConfig(q, seed, ex))
-		if err != nil {
-			return res, fmt.Errorf("estimator: %w", err)
-		}
-		res.TrialsUsed = q.Trials
-	}
-	level := q.confidence()
-	lo, hi, err := out.WilsonCI(level)
-	if err != nil {
-		return res, fmt.Errorf("estimator: %w", err)
-	}
-	res.Estimate = out.Estimate()
-	res.Lo, res.Hi = lo, hi
-	res.Confidence = level
-	res.LogEstimate = safeLog(res.Estimate)
-	return res, nil
-}
-
 // hybridEstimator is the Theorem 6.1 hybrid route. Its product
 // expectation runs on the mc harness's batched hot path via the
-// table-driven kernel (core.Config.ProductBatch), bit-identical to the
+// compiled engine (core.Config.ProductBatch), bit-identical to the
 // per-trial route.
 type hybridEstimator struct{}
 

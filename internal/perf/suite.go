@@ -98,6 +98,44 @@ func coinBits(src *rng.Source, out []uint64, n int) error {
 	return nil
 }
 
+// benchProgramChunk measures one steady-state 8192-trial chunk on the
+// plan-cached compiled Program for (model, n, m=24): FillBits, or
+// FillProducts when products is set.
+func benchProgramChunk(model memmodel.Model, threads int, products bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := core.DefaultConfig(model, threads)
+		cfg.PrefixLen = 24
+		prog, err := core.DefaultPlanCache().Lookup(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := rng.New(1)
+		words := make([]uint64, mc.BitWords(chunkTrials))
+		out := make([]float64, chunkTrials)
+		chunk := func() error {
+			if products {
+				return prog.FillProducts(src, out)
+			}
+			err := prog.FillBits(src, words, chunkTrials)
+			sink += mc.OnesCount(words)
+			return err
+		}
+		// Warm the Program's scratch pool so the measured loop is pure
+		// steady state, as in the harness's chunk loop.
+		if err := chunk(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := chunk(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sink += int(out[0])
+	}
+}
+
 // Suite returns the fixed benchmark suite, in canonical order. The
 // scenario set and parameters are versioned by SchemaVersion: changing
 // either requires a deliberate baseline refresh.
@@ -206,75 +244,25 @@ func Suite() []Scenario {
 			},
 		},
 		{
-			ID:          "bits-kernel/chunk-8k",
-			Description: "steady-state bitset chunk: fill one 8192-trial word buffer and popcount it (the bit-parallel fixed-MC inner loop)",
-			Trials:      chunkTrials,
-			ZeroAlloc:   true,
-			Bench: func(b *testing.B) {
-				b.ReportAllocs()
-				src := rng.New(1)
-				words := make([]uint64, mc.BitWords(chunkTrials))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := coinBits(src, words, chunkTrials); err != nil {
-						b.Fatal(err)
-					}
-					sink += mc.OnesCount(words)
-				}
-			},
-		},
-		{
-			ID:          "core-nobug-bits/chunk-8k",
-			Description: "steady-state joined-process chunk: one prebuilt table-driven kernel fills one 8192-trial word buffer, TSO, n=2, m=24",
-			Trials:      chunkTrials,
-			ZeroAlloc:   true,
-			Bench: func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := core.DefaultConfig(memmodel.TSO(), 2)
-				cfg.PrefixLen = 24
-				k, err := cfg.NewKernel()
-				if err != nil {
-					b.Fatal(err)
-				}
-				src := rng.New(1)
-				words := make([]uint64, mc.BitWords(chunkTrials))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := k.FillBits(src, words, chunkTrials); err != nil {
-						b.Fatal(err)
-					}
-					sink += mc.OnesCount(words)
-				}
-			},
-		},
-		{
 			ID:          "compiled-kernel/chunk-8k",
 			Description: "steady-state compiled-engine chunk: one cached compiled Program fills one 8192-trial word buffer, TSO, n=2, m=24",
 			Trials:      chunkTrials,
 			ZeroAlloc:   true,
-			Bench: func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := core.DefaultConfig(memmodel.TSO(), 2)
-				cfg.PrefixLen = 24
-				prog, err := core.DefaultPlanCache().Lookup(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src := rng.New(1)
-				words := make([]uint64, mc.BitWords(chunkTrials))
-				// Warm the Program's scratch pool so the measured loop is
-				// pure steady state, as in the harness's chunk loop.
-				if err := prog.FillBits(src, words, chunkTrials); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := prog.FillBits(src, words, chunkTrials); err != nil {
-						b.Fatal(err)
-					}
-					sink += mc.OnesCount(words)
-				}
-			},
+			Bench:       benchProgramChunk(memmodel.TSO(), 2, false),
+		},
+		{
+			ID:          "compiled-kernel/wo-n16-chunk-8k",
+			Description: "steady-state compiled-engine chunk at the grid's costliest bits shape: one cached Program fills one 8192-trial word buffer, WO, n=16, m=24",
+			Trials:      chunkTrials,
+			ZeroAlloc:   true,
+			Bench:       benchProgramChunk(memmodel.WO(), 16, false),
+		},
+		{
+			ID:          "compiled-products/pso-n16-chunk-8k",
+			Description: "steady-state compiled-engine product chunk (what hybrid runs): one cached Program fills 8192 Theorem 6.1 products, PSO, n=16, m=24",
+			Trials:      chunkTrials,
+			ZeroAlloc:   true,
+			Bench:       benchProgramChunk(memmodel.PSO(), 16, true),
 		},
 		{
 			ID:          "rng-bulkfill/8k",

@@ -55,12 +55,21 @@ func (c *lruCache) Get(key string) ([]byte, bool) {
 // Add stores val under key, evicting the least recently used entry when
 // the cache is full. Storing an existing key refreshes its value and
 // recency. On a disabled cache it stores nothing.
+//
+// The cache keeps an exact-size copy when val has spare capacity: an
+// encoder's buffer (json.MarshalIndent's is about twice the body) would
+// otherwise stay pinned, whole, for as long as the entry lives.
 func (c *lruCache) Add(key string, val []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.disabled {
 		return
 	}
+	if cap(val) != len(val) {
+		exact := make([]byte, len(val))
+		copy(exact, val)
+		val = exact
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*lruEntry).val = val

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -82,5 +84,46 @@ func TestLRUConcurrent(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
+	}
+}
+
+// TestCachedBodiesExactSize checks the LRU keeps exact-size bodies —
+// cap == len, so no encoder buffer stays pinned behind an entry — and
+// that trimming changes no byte: every golden request still returns its
+// golden body, on the miss that fills the cache and on the hit after.
+func TestCachedBodiesExactSize(t *testing.T) {
+	c := newLRUCache(2)
+	padded := make([]byte, 3, 64)
+	copy(padded, "abc")
+	c.Add("k", padded)
+	if v, _ := c.Get("k"); cap(v) != len(v) || string(v) != "abc" {
+		t.Fatalf("cached %q with len %d cap %d", v, len(v), cap(v))
+	}
+
+	srv, ts := newTestServer(t, Config{})
+	for _, tc := range goldenCases {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []string{"miss", "hit"} {
+			resp, data := post(t, ts.URL+tc.path, tc.body)
+			if got := resp.Header.Get("X-Cache"); got != state {
+				t.Fatalf("%s: X-Cache %q, want %q", tc.file, got, state)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatalf("%s (%s): body diverged from golden", tc.file, state)
+			}
+		}
+	}
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	if len(srv.cache.items) != len(goldenCases) {
+		t.Fatalf("cache holds %d entries, want %d", len(srv.cache.items), len(goldenCases))
+	}
+	for key, el := range srv.cache.items {
+		if v := el.Value.(*lruEntry).val; cap(v) != len(v) {
+			t.Errorf("%s: cached body len %d cap %d", key, len(v), cap(v))
+		}
 	}
 }

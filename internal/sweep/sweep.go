@@ -59,8 +59,8 @@ const (
 	// WindowDist tabulates the exact critical-window distribution
 	// Pr[B_γ] (Theorem 4.1 at finite m); it is thread-count independent.
 	WindowDist = estimator.WindowDist
-	// CompiledMC is full Monte Carlo on the query-compiled kernel
-	// engine, bit-identical to FullMC.
+	// CompiledMC is full Monte Carlo under its earlier engine-specific
+	// name: the same compiled engine as FullMC, bit-identical to it.
 	CompiledMC = estimator.CompiledMC
 )
 

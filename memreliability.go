@@ -67,9 +67,10 @@ type Config = core.Config
 // trial i lands in bit i%64 of out[i/64]. When n is not a multiple of
 // 64, the unused high bits of the final word must be written as zero
 // (the harness popcounts whole words). Config.NoBugBits builds one for
-// the joined process; custom experiments implement it directly for the
-// bit-parallel hot path (see examples/bitstrial) and run it with
-// EstimateProbabilityBits. PackBools satisfies the packing contract for
+// the joined process, on the compiled engine every Monte Carlo route
+// runs (one plan-cached Program per query); custom experiments
+// implement it directly for the bit-parallel hot path (see
+// examples/bitstrial) and run it with EstimateProbabilityBits. PackBools satisfies the packing contract for
 // implementations that naturally produce booleans.
 type BatchTrialBits = mc.BatchTrialBits
 
@@ -77,13 +78,16 @@ type BatchTrialBits = mc.BatchTrialBits
 // over BatchTrialBits: the harness packs its output into bitsets
 // (PackBools) on a per-worker buffer, so it keeps the zero
 // steady-state-allocation property at a small packing cost.
-// Config.NoBugBatch builds one for the joined process; it remains fully
-// supported as the convenient interface when bit packing is not worth
+// Config.NoBugBatch builds one for the joined process straight from the
+// paper's processes (prog, settle, shift): the reference the compiled
+// engine is tested against, not a fast route. The interface remains
+// fully supported as the convenient one when bit packing is not worth
 // hand-writing.
 type BatchTrial = mc.BatchTrial
 
 // BatchMean is the batched form of a real-valued sampler, used by the
-// Theorem 6.1 hybrid route's product expectation (Config.ProductBatch).
+// Theorem 6.1 hybrid route's product expectation (Config.ProductBatch,
+// on the same compiled engine as Config.NoBugBits).
 // Real-valued samples have no bitset form; this interface is not an
 // adapter.
 type BatchMean = mc.BatchMean
@@ -215,9 +219,9 @@ const (
 	SweepFullMC     = sweep.FullMC
 	SweepHybrid     = sweep.Hybrid
 	SweepWindowDist = sweep.WindowDist
-	// SweepCompiledMC is full Monte Carlo on the query-compiled kernel
-	// engine — bit-identical to SweepFullMC on the same query, faster
-	// per trial.
+	// SweepCompiledMC names full Monte Carlo under its earlier
+	// engine-specific kind: it runs the same compiled engine as
+	// SweepFullMC, bit-identical on the same query.
 	SweepCompiledMC = sweep.CompiledMC
 )
 
